@@ -88,7 +88,7 @@ impl ChaosConfig {
     }
 }
 
-/// Per-link chaos state, owned by that link's writer thread.
+/// Per-link chaos state, owned by that link's sending side.
 #[derive(Clone, Debug)]
 pub struct LinkChaos {
     rng: XorShift,

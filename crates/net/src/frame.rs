@@ -5,23 +5,22 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic     0xAB84 ("Asynchronous Byzantine, 1984")
-//! 2       1     version   codec version, currently 2 (1 still decoded)
+//! 2       1     version   codec version, always 2
 //! 3       1     kind      1=Hello 2=Challenge 3=Auth 4=Msg 5=Ack
 //!                         6=Submit 7=SubmitOk 8=SubmitNack
 //! 4       8     seq       per-link sequence number (0 for handshake)
 //! 12      4     len       body length in bytes
-//! 16      8     trace     causal-trace hint (version ≥ 2 only; 0 = untraced)
+//! 16      8     trace     causal-trace hint (0 = untraced)
 //! 24      len-8 payload   kind-specific body
 //! 16+len  8     checksum  FNV-1a 64 over bytes [0, 16+len)
 //! ```
 //!
-//! Version 2 prefixes every body with an 8-byte **trace hint** — the
-//! causal trace id of the transaction the payload belongs to (see
-//! `bft-obs`'s trace module), or 0 when untraced (all handshake
-//! frames). The hint lets the transport attribute wire-level events to
-//! a trace without decoding the payload. Version-1 frames (no hint)
-//! are still decoded, with the hint reported as 0, so rolling upgrades
-//! interoperate; encoding always emits version 2.
+//! Every body starts with an 8-byte **trace hint** — the causal trace
+//! id of the transaction the payload belongs to (see `bft-obs`'s trace
+//! module), or 0 when untraced (all handshake frames). The hint lets the
+//! transport attribute wire-level events to a trace without decoding
+//! the payload. There is one wire version: any other version byte is
+//! rejected.
 //!
 //! The checksum trailer guards against accidental corruption and makes
 //! stream desynchronisation fail loudly; it is *not* an authenticator
@@ -31,15 +30,12 @@
 
 use crate::codec::{put_u16, put_u32, put_u64, DecodeError, Reader};
 use crate::hash::Fnv64;
-use std::io::{self, Read, Write};
 
 /// Frame magic: `0xAB84`.
 pub const MAGIC: u16 = 0xAB84;
-/// Current codec version (body carries a trace-hint prefix).
+/// The codec version (body carries a trace-hint prefix).
 pub const VERSION: u8 = 2;
-/// The previous codec version (no trace hint), still accepted on decode.
-pub const VERSION_V1: u8 = 1;
-/// Size of the version-2 trace-hint body prefix in bytes.
+/// Size of the trace-hint body prefix in bytes.
 pub const TRACE_HINT_LEN: usize = 8;
 /// Hard cap on the payload length (1 MiB), excluding the trace hint.
 pub const MAX_PAYLOAD: u32 = 1 << 20;
@@ -47,7 +43,7 @@ pub const MAX_PAYLOAD: u32 = 1 << 20;
 pub const HEADER_LEN: usize = 16;
 /// Checksum trailer size in bytes.
 pub const TRAILER_LEN: usize = 8;
-/// Total framing overhead added to a payload at the current version.
+/// Total framing overhead added to a payload.
 pub const FRAME_OVERHEAD: usize = HEADER_LEN + TRACE_HINT_LEN + TRAILER_LEN;
 
 /// The kind of a frame.
@@ -116,7 +112,7 @@ pub struct Frame {
     pub kind: FrameKind,
     /// Per-link sequence number (0 for handshake frames).
     pub seq: u64,
-    /// Causal-trace hint (0 when untraced or decoded from a v1 frame).
+    /// Causal-trace hint (0 when untraced).
     pub trace: u64,
     /// The kind-specific body (trace hint stripped).
     pub payload: Vec<u8>,
@@ -142,38 +138,19 @@ impl Frame {
         encode_frame(self.kind, self.seq, self.trace, &self.payload)
     }
 
-    /// Decodes a frame that must span the whole buffer.
-    ///
-    /// This is the strict single-buffer entry point (tests, fuzzing); the
-    /// stream path is [`read_frame`].
+    /// Decodes a frame that must span the whole buffer: the strict
+    /// single-buffer entry point (tests, fuzzing). The stream path is
+    /// [`decode_prefix`].
     pub fn decode(buf: &[u8]) -> Result<Frame, DecodeError> {
-        let mut r = Reader::new(buf);
-        let header = parse_header(&mut r)?;
-        let body = r.take(header.len as usize)?.to_vec();
-        let got = r.u64()?;
-        r.finish()?;
-        let mut h = Fnv64::new();
-        h.write(&buf[..HEADER_LEN + body.len()]);
-        let expected = h.finish();
-        if expected != got {
-            return Err(DecodeError::Checksum { expected, got });
+        match decode_prefix(buf)? {
+            Some((frame, used)) if used == buf.len() => Ok(frame),
+            Some((_, used)) => Err(DecodeError::Trailing { unread: buf.len() - used }),
+            None => {
+                let needed = front_header(buf)?.map_or(HEADER_LEN, |h| h.frame_len());
+                Err(DecodeError::Truncated { needed, available: buf.len() })
+            }
         }
-        let (trace, payload) = split_body(header.version, body);
-        Ok(Frame { kind: header.kind, seq: header.seq, trace, payload })
     }
-}
-
-/// Splits a version-2 body into its trace hint and payload; a version-1
-/// body is all payload with hint 0. `parse_header` has already enforced
-/// `len ≥ TRACE_HINT_LEN` for version 2.
-fn split_body(version: u8, mut body: Vec<u8>) -> (u64, Vec<u8>) {
-    if version == VERSION_V1 {
-        return (0, body);
-    }
-    let mut hint = [0u8; TRACE_HINT_LEN];
-    hint.copy_from_slice(&body[..TRACE_HINT_LEN]);
-    body.drain(..TRACE_HINT_LEN);
-    (u64::from_le_bytes(hint), body)
 }
 
 /// The typed encode-side failure: the payload exceeds [`MAX_PAYLOAD`].
@@ -196,10 +173,10 @@ impl std::fmt::Display for PayloadTooLarge {
 
 impl std::error::Error for PayloadTooLarge {}
 
-/// Encodes a version-2 frame from a borrowed payload.
+/// Encodes a frame from a borrowed payload.
 ///
 /// This is the hot-path entry point: broadcast bodies are `Arc`-shared
-/// between per-link writers and must not be cloned per frame. Payloads
+/// between per-link replay logs and must not be cloned per frame. Payloads
 /// above [`MAX_PAYLOAD`] fail with a typed [`PayloadTooLarge`] error
 /// instead of silently emitting a frame every receiver must reject.
 pub fn encode_frame(
@@ -227,10 +204,27 @@ pub fn encode_frame(
 
 /// The parsed fixed header.
 struct Header {
-    version: u8,
     kind: FrameKind,
     seq: u64,
     len: u32,
+}
+
+impl Header {
+    /// The whole frame's length on the wire. `len` is capped at
+    /// `MAX_PAYLOAD + TRACE_HINT_LEN` by [`parse_header`], so this sum is
+    /// far from `usize` overflow.
+    fn frame_len(&self) -> usize {
+        HEADER_LEN + self.len as usize + TRAILER_LEN
+    }
+}
+
+/// Validates the header at the front of `buf`; `None` while fewer than
+/// [`HEADER_LEN`] bytes are buffered.
+fn front_header(buf: &[u8]) -> Result<Option<Header>, DecodeError> {
+    match buf.get(..HEADER_LEN) {
+        Some(bytes) => parse_header(&mut Reader::new(bytes)).map(Some),
+        None => Ok(None),
+    }
 }
 
 fn parse_header(r: &mut Reader<'_>) -> Result<Header, DecodeError> {
@@ -239,94 +233,24 @@ fn parse_header(r: &mut Reader<'_>) -> Result<Header, DecodeError> {
         return Err(DecodeError::BadMagic(magic));
     }
     let version = r.u8()?;
-    if version != VERSION && version != VERSION_V1 {
+    if version != VERSION {
         return Err(DecodeError::BadVersion(version));
     }
     let kind = FrameKind::from_wire_byte(r.u8()?)?;
     let seq = r.u64()?;
     let len = r.u32()?;
-    // The cap applies to the payload proper; v2 bodies carry the hint
+    // The cap applies to the payload proper; the body carries the hint
     // on top and must be at least hint-sized.
-    let (floor, cap) = if version == VERSION_V1 {
-        (0, MAX_PAYLOAD)
-    } else {
-        (TRACE_HINT_LEN as u32, MAX_PAYLOAD + TRACE_HINT_LEN as u32)
-    };
-    if len > cap || len < floor {
+    if len > MAX_PAYLOAD + TRACE_HINT_LEN as u32 || len < TRACE_HINT_LEN as u32 {
         return Err(DecodeError::Oversize(len));
     }
-    Ok(Header { version, kind, seq, len })
-}
-
-/// A failure while reading a frame off a stream.
-#[derive(Debug)]
-pub enum FrameError {
-    /// The transport failed (or was shut down under the reader).
-    Io(io::Error),
-    /// The bytes arrived but did not form a valid frame.
-    Decode(DecodeError),
-    /// The peer closed the stream cleanly at a frame boundary.
-    Closed,
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "transport error: {e}"),
-            FrameError::Decode(e) => write!(f, "frame decode error: {e}"),
-            FrameError::Closed => f.write_str("stream closed"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
-
-impl From<DecodeError> for FrameError {
-    fn from(e: DecodeError) -> Self {
-        FrameError::Decode(e)
-    }
-}
-
-/// Fills `buf` completely. `Ok(false)` means the stream hit EOF before
-/// the *first* byte (a clean close); EOF mid-buffer is an
-/// `UnexpectedEof` I/O error.
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(k) => filled += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Writes one frame to the stream.
-///
-/// An oversize payload surfaces as an `InvalidInput` I/O error carrying
-/// [`PayloadTooLarge`]; nothing is written in that case.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let bytes = frame.encode().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    w.write_all(&bytes)
+    Ok(Header { kind, seq, len })
 }
 
 /// Attempts to decode one frame from the **front** of an accumulation
 /// buffer, without blocking.
 ///
-/// This is the reactor driver's entry point: nonblocking reads append
+/// This is the reactor's entry point: nonblocking reads append
 /// raw bytes to a per-connection buffer, and this peels complete frames
 /// off the front.
 ///
@@ -339,16 +263,8 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 /// Header validation runs as soon as `HEADER_LEN` bytes are present, so
 /// a corrupt or oversize header is rejected before any body buffering.
 pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let header = {
-        let mut hr = Reader::new(&buf[..HEADER_LEN]);
-        parse_header(&mut hr)?
-    };
-    // `len` is capped at MAX_PAYLOAD + TRACE_HINT_LEN by parse_header,
-    // so this sum is far from usize overflow.
-    let total = HEADER_LEN + header.len as usize + TRAILER_LEN;
+    let Some(header) = front_header(buf)? else { return Ok(None) };
+    let total = header.frame_len();
     if buf.len() < total {
         return Ok(None);
     }
@@ -362,39 +278,13 @@ pub fn decode_prefix(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> 
     if expected != got {
         return Err(DecodeError::Checksum { expected, got });
     }
-    let body = buf[HEADER_LEN..trailer_at].to_vec();
-    let (trace, payload) = split_body(header.version, body);
+    // `parse_header` enforced `len ≥ TRACE_HINT_LEN`.
+    let payload_at = HEADER_LEN + TRACE_HINT_LEN;
+    let mut hint = [0u8; TRACE_HINT_LEN];
+    hint.copy_from_slice(&buf[HEADER_LEN..payload_at]);
+    let trace = u64::from_le_bytes(hint);
+    let payload = buf[payload_at..trailer_at].to_vec();
     Ok(Some((Frame { kind: header.kind, seq: header.seq, trace, payload }, total)))
-}
-
-/// Reads one frame from the stream, blocking until it is complete.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut header_bytes = [0u8; HEADER_LEN];
-    if !fill(r, &mut header_bytes)? {
-        return Err(FrameError::Closed);
-    }
-    let header = {
-        let mut hr = Reader::new(&header_bytes);
-        parse_header(&mut hr)?
-    };
-    let mut rest = vec![0u8; header.len as usize + TRAILER_LEN];
-    if !fill(r, &mut rest)? {
-        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
-    }
-    let trailer_at = header.len as usize;
-    let mut trailer = [0u8; TRAILER_LEN];
-    trailer.copy_from_slice(&rest[trailer_at..]);
-    let got = u64::from_le_bytes(trailer);
-    let mut h = Fnv64::new();
-    h.write(&header_bytes);
-    h.write(&rest[..trailer_at]);
-    let expected = h.finish();
-    if expected != got {
-        return Err(FrameError::Decode(DecodeError::Checksum { expected, got }));
-    }
-    rest.truncate(trailer_at);
-    let (trace, payload) = split_body(header.version, rest);
-    Ok(Frame { kind: header.kind, seq: header.seq, trace, payload })
 }
 
 #[cfg(test)]
@@ -407,18 +297,14 @@ mod tests {
         let bytes = f.encode().unwrap_or_default();
         assert_eq!(bytes.len(), FRAME_OVERHEAD + 3);
         assert_eq!(Frame::decode(&bytes), Ok(f.clone()));
-
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(f));
+        assert_eq!(decode_prefix(&bytes), Ok(Some((f, bytes.len()))));
     }
 
     #[test]
     fn ack_frame_round_trips_at_fixed_size() {
         let f = Frame::new(FrameKind::Ack, 48, Vec::new());
         let bytes = f.encode().unwrap_or_default();
-        // Empty payload ⇒ an ack is exactly the framing overhead, which
-        // is what the writer's nonblocking drain peeks for.
+        // Empty payload ⇒ an ack is exactly the framing overhead.
         assert_eq!(bytes.len(), FRAME_OVERHEAD);
         assert_eq!(Frame::decode(&bytes), Ok(f));
     }
@@ -429,16 +315,15 @@ mod tests {
         let bytes = f.encode().unwrap_or_default();
         assert_eq!(bytes[2], VERSION);
         assert_eq!(Frame::decode(&bytes), Ok(f.clone()));
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(f));
+        assert_eq!(decode_prefix(&bytes), Ok(Some((f, bytes.len()))));
     }
 
-    /// Hand-builds a version-1 frame (no trace hint) byte-by-byte.
+    /// Hand-builds a frame in the retired version-1 layout (version byte
+    /// 1, no trace hint) byte-by-byte.
     fn v1_frame(kind: FrameKind, seq: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         put_u16(&mut out, MAGIC);
-        out.push(VERSION_V1);
+        out.push(1);
         out.push(kind.wire_byte());
         put_u64(&mut out, seq);
         put_u32(&mut out, payload.len() as u32);
@@ -450,21 +335,28 @@ mod tests {
     }
 
     #[test]
-    fn version_one_frames_still_decode_with_zero_hint() {
-        let bytes = v1_frame(FrameKind::Msg, 3, &[7, 8, 9]);
-        let expected = Frame::new(FrameKind::Msg, 3, vec![7, 8, 9]);
-        assert_eq!(Frame::decode(&bytes), Ok(expected.clone()));
-        let mut cursor = io::Cursor::new(bytes);
-        let read = read_frame(&mut cursor).map_err(|e| e.to_string());
-        assert_eq!(read, Ok(expected));
-        // An empty v1 body is legal; an empty v2 body (no room for the
-        // hint) is not.
-        let empty = v1_frame(FrameKind::Hello, 0, &[]);
-        assert!(Frame::decode(&empty).is_ok());
+    fn version_one_frames_are_rejected() {
+        for bytes in [v1_frame(FrameKind::Msg, 3, &[7, 8, 9]), v1_frame(FrameKind::Hello, 0, &[])] {
+            assert_eq!(Frame::decode(&bytes), Err(DecodeError::BadVersion(1)));
+            assert_eq!(decode_prefix(&bytes), Err(DecodeError::BadVersion(1)));
+            // The header alone is enough to refuse the stream.
+            assert_eq!(decode_prefix(&bytes[..HEADER_LEN]), Err(DecodeError::BadVersion(1)));
+        }
     }
 
     #[test]
-    fn v2_body_shorter_than_the_hint_is_rejected() {
+    fn whole_frame_with_a_trailing_byte_is_rejected() {
+        let f = Frame::new(FrameKind::Msg, 5, vec![1, 2]);
+        let mut bytes = f.encode().unwrap_or_default();
+        let len = bytes.len();
+        bytes.push(0);
+        assert_eq!(Frame::decode(&bytes), Err(DecodeError::Trailing { unread: 1 }));
+        // The stream decoder peels the frame and leaves the byte.
+        assert_eq!(decode_prefix(&bytes), Ok(Some((f, len))));
+    }
+
+    #[test]
+    fn body_shorter_than_the_hint_is_rejected() {
         let mut bytes = Frame::new(FrameKind::Msg, 0, Vec::new()).encode().unwrap_or_default();
         // Shrink the body length below the hint size and re-checksum.
         bytes[12..16].copy_from_slice(&4u32.to_le_bytes());
@@ -559,12 +451,19 @@ mod tests {
     }
 
     #[test]
-    fn clean_close_vs_truncation() {
-        let mut empty = io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame(&mut empty), Err(FrameError::Closed)));
+    fn truncation_waits_on_the_stream_and_is_typed_on_a_buffer() {
+        assert_eq!(decode_prefix(&[]), Ok(None));
+        assert_eq!(
+            Frame::decode(&[]),
+            Err(DecodeError::Truncated { needed: HEADER_LEN, available: 0 })
+        );
 
         let full = Frame::new(FrameKind::Msg, 3, vec![5; 10]).encode().unwrap_or_default();
-        let mut cut = io::Cursor::new(full[..full.len() - 4].to_vec());
-        assert!(matches!(read_frame(&mut cut), Err(FrameError::Io(_))));
+        let cut = &full[..full.len() - 4];
+        assert_eq!(decode_prefix(cut), Ok(None));
+        assert_eq!(
+            Frame::decode(cut),
+            Err(DecodeError::Truncated { needed: full.len(), available: cut.len() })
+        );
     }
 }

@@ -22,13 +22,13 @@
 //!   (drop/retransmit, duplication, delay, partitions) applied *under*
 //!   the reliable-link contract.
 //! * [`runtime`] — [`NetRuntime`], mirroring `bft_runtime::Runtime`'s
-//!   builder API: full-mesh peer manager, reconnect with capped
-//!   exponential backoff, cross-connection replay/dedup, and the same
-//!   `RuntimeReport` output. The thread-per-link engine lives here.
-//! * [`reactor`] — the default I/O engine behind [`NetRuntime`]: one
-//!   nonblocking `poll(2)` loop per node drives every socket the node
-//!   touches, so the per-node thread count is a small constant instead
-//!   of growing with the cluster (select with [`NetDriver`]).
+//!   builder API: socket setup, the per-node actor loop, cross-connection
+//!   replay/dedup rules, and the same `RuntimeReport` output.
+//! * [`reactor`] — the I/O engine behind [`NetRuntime`]: one nonblocking
+//!   `poll(2)` loop per node drives every socket the node touches (full
+//!   mesh, reconnect with capped exponential backoff, replay), so the
+//!   per-node thread count is a small constant instead of growing with
+//!   the cluster.
 //! * [`gateway`] — the client-facing submit/ack protocol served by the
 //!   reactor (typed backpressure NACKs, per-client sequencing) plus an
 //!   open-loop load generator for driving a cluster externally.
@@ -73,14 +73,12 @@ pub mod runtime;
 pub use chaos::{ChaosConfig, LinkChaos, LinkOutage};
 pub use codec::{Codec, DecodeError, Reader};
 pub use frame::{
-    encode_frame, read_frame, write_frame, Frame, FrameError, FrameKind, PayloadTooLarge,
-    FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, TRAILER_LEN, VERSION,
+    encode_frame, Frame, FrameKind, PayloadTooLarge, FRAME_OVERHEAD, HEADER_LEN, MAGIC,
+    MAX_PAYLOAD, TRAILER_LEN, VERSION,
 };
 pub use gateway::{
     run_load, ClientSubmit, GatewayNotice, GatewayPipe, LoadGenConfig, LoadGenReport, NackReason,
 };
-pub use handshake::{accept_handshake, dial_handshake, HandshakeError, Secret};
+pub use handshake::{HandshakeError, Secret};
 pub use hash::fnv1a64;
-pub use runtime::{
-    BackoffPolicy, ListenerBounce, NetDriver, NetRuntime, RestartFactory, SetupError,
-};
+pub use runtime::{BackoffPolicy, ListenerBounce, NetRuntime, RestartFactory, SetupError};

@@ -1,39 +1,31 @@
-//! The reactor transport driver: one nonblocking poll loop per node.
+//! The TCP I/O engine: one nonblocking poll loop per node.
 //!
-//! The thread driver ([`crate::runtime`]) spends two OS threads per
-//! *directed link* (a blocking reader and a blocking writer), which is
-//! `2n(n-1)` threads for an `n`-node cluster — fine at n=4, hopeless at
-//! n=64. This module drives the identical wire protocol with a **fixed
-//! small thread count per node**: one reactor thread owning every socket
-//! the node touches (peer listener, inbound connections, outbound links,
-//! the client gateway, and a loopback wake channel), plus the unchanged
-//! actor thread running the sans-io process. Readiness comes from
+//! Every node runs a **fixed small number of threads** regardless of the
+//! cluster size: one reactor thread owning every socket the node touches
+//! (peer listener, inbound connections, outbound links, the client
+//! gateway, and a loopback wake channel), plus the actor thread running
+//! the sans-io process ([`crate::runtime`]). Readiness comes from
 //! `poll(2)` via the dependency-free [`poll`] shim.
 //!
-//! # Driver-swap seam
+//! # Connection state machines
 //!
-//! The reactor replaces only the *I/O strategy*. Everything observable is
-//! preserved from the thread driver so the two are interchangeable under
-//! [`crate::NetRuntime`] (see `NetDriver`):
+//! The reactor speaks the wire protocol of [`crate::frame`] and
+//! [`crate::handshake`] (the pure handshake steps) with the per-link
+//! sequence/replay/ack-trim discipline described in [`crate::runtime`].
+//! The per-frame chaos draw order is fixed (outage → delay → drop loop
+//! → duplicate), so a seeded chaos schedule produces the same per-link
+//! fault pattern on every run, and the transport reports its lifecycle
+//! through the `bft-obs` event vocabulary (`PeerConnected`,
+//! `FrameSequenceGap`, `LinkLogPeak`, …).
 //!
-//! * the frame codec, handshake bytes (the pure helpers in
-//!   [`crate::handshake`] are shared by both drivers), and per-link
-//!   sequence/replay/ack-trim discipline;
-//! * the per-frame chaos draw order (outage → delay → drop loop →
-//!   duplicate), so a seeded chaos schedule produces the same per-link
-//!   fault pattern under either driver;
-//! * reconnect backoff, the `skip_first_replay` sequence-gap chaos, and
-//!   the full transport event vocabulary (`PeerConnected`,
-//!   `FrameSequenceGap`, `LinkLogPeak`, …).
-//!
-//! Blocking reads/writes become per-connection state machines: an
-//! outbound link is `Idle → Hello → Up` (with a head-of-line chaos
-//! machine `Start → Delayed → Dropping` per frame), an inbound
-//! connection is `AwaitHello → AwaitAuth → Up`. Each `poll` both parks
-//! the loop and reports per-descriptor readiness; the next pass issues
-//! read/accept syscalls **only on the descriptors `revents` flagged**,
-//! so an idle connection costs one poll-set entry, not a `read(2)` that
-//! returns `EWOULDBLOCK`. Readiness is still only a gate, never a proof:
+//! Each connection is a state machine: an outbound link is
+//! `Idle → Hello → Up` (with a head-of-line chaos machine
+//! `Start → Delayed → Dropping` per frame), an inbound connection is
+//! `AwaitHello → AwaitAuth → Up`. Each `poll` both parks the loop and
+//! reports per-descriptor readiness; the next pass issues read/accept
+//! syscalls **only on the descriptors `revents` flagged**, so an idle
+//! connection costs one poll-set entry, not a `read(2)` that returns
+//! `EWOULDBLOCK`. Readiness is still only a gate, never a proof:
 //! `poll(2)` is level-triggered, every socket is nonblocking, and every
 //! pump handles `WouldBlock`, so a spurious bit costs one wasted syscall
 //! and a missed bit is re-reported by the next poll — never a stall.
@@ -145,17 +137,15 @@ enum FillEnd {
     /// Connection still open (drained to `WouldBlock`).
     Open,
     /// Orderly FIN from the peer. For a dial connection this is *not*
-    /// immediate death: TCP half-close semantics (and thread-driver
-    /// parity) require pending frames to keep flowing until a write
-    /// fails, which is what turns a skipped replay into the sequence
-    /// gap the receiver must detect.
+    /// immediate death: TCP half-close semantics require pending frames
+    /// to keep flowing until a write fails, which is what turns a
+    /// skipped replay into the sequence gap the receiver must detect.
     Eof,
     /// Hard transport error.
     Error,
 }
 
-/// One nonblocking socket with explicit in/out buffering — the reactor's
-/// replacement for a blocking reader/writer thread pair.
+/// One nonblocking socket with explicit in/out buffering.
 struct BufConn {
     stream: TcpStream,
     inbuf: Vec<u8>,
@@ -318,8 +308,8 @@ enum LinkPhase {
     Up,
 }
 
-/// The chaos machine for the head-of-line frame, mirroring the thread
-/// writer's per-frame draw order exactly: outage wait (no draw) → one
+/// The chaos machine for the head-of-line frame, in a fixed per-frame
+/// draw order: outage wait (no draw) → one
 /// `delay_ms` draw → an `attempt_dropped` loop (≤ [`MAX_RETRANSMIT`],
 /// RTO-spaced) → one `duplicate` draw at transmission.
 #[derive(Clone, Copy, Debug)]
@@ -333,7 +323,7 @@ enum Head {
 }
 
 /// Why an outbound connection died — determines the replay reset and
-/// the emitted event, mirroring the thread writer's paths.
+/// the emitted event.
 #[derive(Clone, Copy, Debug)]
 enum LinkDeath {
     /// Dial/handshake failure: back off and emit `ReconnectBackoff`.
@@ -360,8 +350,7 @@ struct LinkCtx<'a> {
 }
 
 /// One directed outbound link: the replay log, the connection state
-/// machine, and the chaos head machine — the reactor's equivalent of a
-/// whole writer thread.
+/// machine, and the chaos head machine.
 struct LinkState {
     peer: NodeId,
     rx: Receiver<FrameBody>,
@@ -385,8 +374,8 @@ struct LinkState {
 
 impl LinkState {
     fn new(me: NodeId, peer: NodeId, rx: Receiver<FrameBody>, chaos: LinkChaos) -> Self {
-        // Same jitter stream as the thread writer, so backoff schedules
-        // match across drivers.
+        // A per-link jitter stream, so backoff schedules are
+        // reproducible.
         let mut h = crate::hash::Fnv64::new();
         h.write(b"backoff-jitter");
         h.write(&(me.index() as u32).to_le_bytes());
@@ -445,8 +434,8 @@ impl LinkState {
         }
 
         // The link is complete once the actor hung up and every frame is
-        // out of the socket, mirroring the writer thread's exit — which
-        // is also when the log peak is reported.
+        // out of the socket — which is also when the log peak is
+        // reported.
         let flushed = self.conn.as_ref().map(|c| !c.pending_out()).unwrap_or(true);
         if self.draining && self.sent == self.log.len() && flushed {
             self.finished = true;
@@ -480,7 +469,7 @@ impl LinkState {
                             return Some(LinkDeath::Handshake);
                         };
                         // The dialer considers the handshake done after
-                        // writing Auth — same as the blocking path.
+                        // writing Auth.
                         let body = auth_payload(ctx.secret, nonce_peer, ctx.me);
                         let auth = encode_frame(FrameKind::Auth, 0, 0, &body).unwrap_or_default();
                         conn.queue(&auth);
@@ -518,11 +507,11 @@ impl LinkState {
         }
         // Frames transmitted after the peer's FIN are doomed: peers
         // never half-close in this protocol, so nobody will read them.
-        // The thread writer counts such frames `sent` (the kernel
-        // accepts them before the RST lands) and then dies on a write
-        // failure with `sent` preserved — which is exactly what lets
-        // `skip_first_replay` manufacture a sequence gap. Mirror that:
-        // queueing anything onto an EOF'd connection is a Write death.
+        // The kernel accepts such frames before the RST lands, so they
+        // count as `sent`, and the link then dies on a write failure
+        // with `sent` preserved — which is exactly what lets
+        // `skip_first_replay` manufacture a sequence gap. So queueing
+        // anything onto an EOF'd connection is a Write death.
         let queued_to_dead = conn.peer_eof && self.sent > sent_before;
 
         if !conn.flush() {
@@ -540,8 +529,7 @@ impl LinkState {
             }),
             FillEnd::Eof => match self.phase {
                 LinkPhase::Up if queued_to_dead => Some(LinkDeath::Write),
-                // An idle, fully-flushed link whose peer closed is dead —
-                // the thread driver's `conn_dead` probe equivalent.
+                // An idle, fully-flushed link whose peer closed is dead.
                 LinkPhase::Up if self.sent == self.log.len() && !conn.pending_out() => {
                     Some(LinkDeath::Idle)
                 }
@@ -554,8 +542,7 @@ impl LinkState {
     }
 
     /// The transmit machine: encodes head frames into the output buffer
-    /// under the chaos head machine, preserving the thread writer's
-    /// draw order per frame.
+    /// under the chaos head machine, one fixed draw order per frame.
     fn transmit(&mut self, conn: &mut BufConn, ctx: &LinkCtx<'_>, now_ms: u64, deadline: &mut u64) {
         loop {
             if self.sent >= self.log.len() || conn.out_len() >= OUTBUF_SOFT_CAP {
@@ -624,8 +611,7 @@ impl LinkState {
         }
     }
 
-    /// Marks the link authenticated and applies the replay policy —
-    /// byte-for-byte the thread dialer's post-handshake block.
+    /// Marks the link authenticated and applies the replay policy.
     fn established(&mut self, ctx: &LinkCtx<'_>) {
         let was_reconnect = self.ever_connected;
         let peer = self.peer;
@@ -648,8 +634,7 @@ impl LinkState {
         self.head = Head::Start;
     }
 
-    /// Tears the connection down along one of the writer-thread death
-    /// paths.
+    /// Tears the connection down along one of the [`LinkDeath`] paths.
     fn die(&mut self, death: LinkDeath, ctx: &LinkCtx<'_>, now_ms: u64) {
         self.conn = None;
         self.head = Head::Start;
@@ -682,8 +667,7 @@ impl LinkState {
             }
             LinkDeath::Write => {
                 // The frame in flight when the link died was never
-                // really sent — uncount it (the thread writer's failed
-                // `write_all` does not increment `sent` either). This
+                // really sent — uncount it. This
                 // keeps `sent < log.len()`, which is what arms the
                 // redial; the surviving prefix of `sent` is what a
                 // chaos-skipped replay resumes from, manufacturing the
@@ -732,8 +716,8 @@ impl LinkState {
         }
     }
 
-    /// Reports the link's replay-log high-water mark (the thread
-    /// writer's teardown event).
+    /// Reports the link's replay-log high-water mark (its teardown
+    /// event).
     fn emit_peak(&self, ctx: &LinkCtx<'_>) {
         let peer = self.peer;
         let frames = self.peak as u64;
@@ -867,7 +851,7 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
             self.sleep(deadline);
         }
         // Report the replay-log peaks the finished-link path did not get
-        // to (the writer thread emits these unconditionally at exit).
+        // to: every link reports one at teardown.
         let ctx = self.link_ctx();
         for link in &self.links {
             if !link.finished {
@@ -1075,8 +1059,8 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
             }
         }
         c.conn.compact_in();
-        // Ack write failures are tolerated (as in the thread reader):
-        // link death surfaces on the read side.
+        // Ack write failures are tolerated: link death surfaces on the
+        // read side.
         let _ = c.conn.flush();
         match end {
             FillEnd::Open => match c.phase {
@@ -1308,11 +1292,11 @@ impl<M: Codec + Clone + fmt::Debug> NodeReactor<M> {
     }
 }
 
-// ---- the driver entry point -----------------------------------------------
+// ---- the entry point ------------------------------------------------------
 
-/// Runs the cluster under the reactor driver. Mirrors the thread
-/// driver's scaffolding (inboxes, monitor, teardown, report) with the
-/// per-link threads replaced by one reactor thread per node.
+/// Runs the cluster: one reactor thread and one actor thread per node,
+/// plus the calling thread as the completion monitor, which also fires
+/// scheduled restarts and tears everything down.
 pub(crate) fn run<M, O>(
     mut rt: NetRuntime<M, O>,
     bound: Vec<TcpListener>,
@@ -1369,6 +1353,11 @@ where
     for spec in rt.restarts.drain(..) {
         restart_specs.insert(spec.node.index(), spec);
     }
+    // Scheduled restarts fire once every correct node without one has
+    // output (the survivors keep serving the recovering nodes).
+    let mut pending_restarts: Vec<usize> = restart_specs.keys().copied().collect();
+    let survivors: Vec<NodeId> =
+        correct.iter().copied().filter(|id| !restart_specs.contains_key(&id.index())).collect();
 
     // One wake channel per node; failure degrades to capped poll sleeps.
     let mut wake_rxs: Vec<Option<TcpStream>> = Vec::with_capacity(n);
@@ -1444,14 +1433,14 @@ where
             scope.spawn(move || supervised(&ledger, "reactor", || node.run()));
         }
 
-        // Actor threads — identical to the thread driver, except the
-        // fan-out wakes this node's reactor after enqueueing frames.
+        // Actor threads: the fan-out wakes this node's reactor after
+        // enqueueing frames.
         for (idx, (slot, rx)) in rt.procs.iter_mut().zip(inbox_rxs).enumerate() {
             let Some((mut proc_, _)) = slot.take() else { continue };
             let Some(self_tx) = inbox_txs.get(idx).cloned() else { continue };
             let links = LinkFanout {
                 txs: link_txs.get_mut(idx).map(std::mem::take).unwrap_or_default(),
-                waker: wakers.get(idx).cloned(),
+                waker: wakers.get(idx).cloned().unwrap_or_else(ReactorWaker::disconnected),
             };
             let outputs = Arc::clone(&outputs);
             let obs = obs.clone();
@@ -1472,6 +1461,14 @@ where
                 let outs = locked(&outputs);
                 if correct.iter().all(|id| outs.contains_key(id)) {
                     break;
+                }
+                if !pending_restarts.is_empty() && survivors.iter().all(|id| outs.contains_key(id))
+                {
+                    for idx in pending_restarts.drain(..) {
+                        if let Some(tx) = inbox_txs.get(idx) {
+                            let _ = tx.send(Ctrl::Restart);
+                        }
+                    }
                 }
             }
             if clock.elapsed() > timeout {

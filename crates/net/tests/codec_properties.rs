@@ -5,6 +5,7 @@
 
 use bft_ec::Fragment;
 use bft_net::codec::Codec;
+use bft_net::frame::decode_prefix;
 use bft_net::{
     encode_frame, fnv1a64, DecodeError, Frame, FrameKind, PayloadTooLarge, FRAME_OVERHEAD,
     MAX_PAYLOAD,
@@ -311,11 +312,10 @@ fn oversized_fragment_proof_is_rejected() {
     ));
 }
 
-/// The version-1 golden bytes (the pre-trace wire format) must keep
-/// decoding: a v2 node accepts frames from a v1 peer, reading a zero
-/// (untraced) hint.
+/// The version-1 golden bytes (the retired pre-trace wire format) are
+/// refused by version byte: the wire has one version.
 #[test]
-fn golden_v1_frames_still_decode() {
+fn golden_v1_frames_are_rejected() {
     #[rustfmt::skip]
     let v1_hello = vec![
         0x84, 0xAB, 0x01, 0x01,
@@ -323,9 +323,8 @@ fn golden_v1_frames_still_decode() {
         0, 0, 0, 0,
         0x7e, 0xad, 0x9c, 0x35, 0xe8, 0x24, 0x37, 0x30, // FNV-1a of the header, LE
     ];
-    let decoded = Frame::decode(&v1_hello);
-    assert_eq!(decoded, Ok(Frame::new(FrameKind::Hello, 0, Vec::new())));
-    assert_eq!(decoded.map(|f| f.trace), Ok(0));
+    assert_eq!(Frame::decode(&v1_hello), Err(DecodeError::BadVersion(1)));
+    assert_eq!(decode_prefix(&v1_hello), Err(DecodeError::BadVersion(1)));
 }
 
 /// Strictness corners the property tests may not hit: rounds are

@@ -140,7 +140,7 @@ pub enum Event {
         len: u64,
     },
     /// High-water mark of one directed link's replay log (frames resident
-    /// at once), emitted by the writer thread at link teardown. With
+    /// at once), emitted by the link's sending side at teardown. With
     /// ack-based trimming this stays bounded by the ack cadence instead of
     /// growing with the run length.
     LinkLogPeak {

@@ -39,8 +39,8 @@
 //! state transfer from the latest certified checkpoint.
 //!
 //! With `--clients C` (C > 0) the binary runs the **client gateway**
-//! scenario: a reactor-driver cluster of gateway-wrapped ordering
-//! processes, each with a real client-facing listener, driven by the
+//! scenario: a reactor cluster of gateway-wrapped ordering processes,
+//! each with a real client-facing listener, driven by the
 //! open-loop load generator (C simulated clients at `--rate`
 //! submissions/s aggregate for `--load-ms`). The final line is a JSON
 //! summary (`committed`, `nacked`, latency percentiles, `anomalies`)
@@ -60,7 +60,7 @@
 use async_bft::adversary::{make_bracha_adversary, FaultKind};
 use async_bft::coin::LocalCoin;
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
-use async_bft::net::{ChaosConfig, NetDriver, NetRuntime};
+use async_bft::net::{ChaosConfig, NetRuntime};
 use async_bft::obs::{JsonlSink, MetricsSink, Obs, SharedSink, Tee};
 use async_bft::rbc::RbcKind;
 use async_bft::types::{Config, Value};
@@ -85,7 +85,6 @@ struct Options {
     kv_workload: bool,
     checkpoint_interval: u64,
     restart_node: bool,
-    driver: NetDriver,
     clients: u64,
     rate: u64,
     load_ms: u64,
@@ -164,7 +163,6 @@ fn parse_args() -> Result<Options, String> {
         kv_workload: false,
         checkpoint_interval: 4,
         restart_node: false,
-        driver: NetDriver::default(),
         clients: 0,
         rate: 2000,
         load_ms: 2000,
@@ -224,16 +222,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--checkpoint-interval: {e}"))?
             }
             "--restart-node" => opts.restart_node = true,
-            "--driver" => {
-                let v = value("--driver")?;
-                opts.driver = match v.as_str() {
-                    "threads" => NetDriver::Threads,
-                    "reactor" => NetDriver::Reactor,
-                    other => {
-                        return Err(format!("--driver: expected threads or reactor, got {other}"))
-                    }
-                };
-            }
             "--clients" => {
                 opts.clients = value("--clients")?.parse().map_err(|e| format!("--clients: {e}"))?
             }
@@ -254,7 +242,7 @@ fn parse_args() -> Result<Options, String> {
                      [--max-delay-ms MS] [--timeout-secs T] [--runs R] \
                      [--epochs E] [--batch B] [--pipeline D] [--rbc bracha|coded] \
                      [--kv-workload] [--checkpoint-interval C] [--restart-node] \
-                     [--driver threads|reactor] [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
+                     [--clients C] [--rate TX_PER_S] [--load-ms MS] [--tx-bytes B] \
                      [--trace-out FILE] [--metrics-out FILE]"
                 );
                 std::process::exit(0);
@@ -382,7 +370,6 @@ fn run_ordering(opts: &Options, chaos: &ChaosConfig) {
         let mut rt: NetRuntime<OrderMessage, OrderLog> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         for id in cfg.nodes() {
             let workload: Vec<Vec<u8>> = (0..order.epochs * order.batch_max as u64)
@@ -469,12 +456,11 @@ fn run_smr(opts: &Options, chaos: &ChaosConfig) {
         if opts.restart_node { "yes" } else { "no" },
     );
 
-    // The victim crashes almost immediately (long before it can output)
-    // and restarts only after the survivors have had time to certify
-    // the final checkpoint, so recovery must go through erasure-coded
-    // peer state transfer rather than live replay.
-    let crash_at_ms = 30;
-    let restart_at_ms = 1500;
+    // The victim crashes after handling its first few deliveries (long
+    // before it can output) and restarts only once the survivors have
+    // output, so recovery must go through erasure-coded peer state
+    // transfer from a certified checkpoint rather than live replay.
+    let crash_after = 20;
     let mut completed = 0u64;
     let mut agreed = 0u64;
     let mut total = MetricsSink::new();
@@ -484,7 +470,6 @@ fn run_smr(opts: &Options, chaos: &ChaosConfig) {
         let mut rt: NetRuntime<SmrMessage, SmrOutput> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         let count = (epochs * smr.order.batch_max as u64) as usize;
         let make = move |id: NodeId, obs: Obs| {
@@ -498,7 +483,7 @@ fn run_smr(opts: &Options, chaos: &ChaosConfig) {
             let obs_replacement = obs.clone();
             let factory: RestartFactory<SmrMessage, SmrOutput> =
                 Box::new(move || Box::new(make(victim, obs_replacement).recovering(true)));
-            rt = rt.restart_node(victim, crash_at_ms, restart_at_ms, factory);
+            rt = rt.restart_node(victim, crash_after, factory);
         }
         for id in cfg.nodes() {
             rt.add_process(Box::new(make(id, obs.clone())));
@@ -629,7 +614,6 @@ fn main() {
         let mut rt: NetRuntime<Wire, Value> = NetRuntime::new(opts.n)
             .timeout(Duration::from_secs(opts.timeout_secs))
             .observer(obs.clone())
-            .driver(opts.driver)
             .chaos(chaos.clone());
         // Faults corrupt the lowest-indexed nodes, matching absim.
         for id in cfg.nodes() {

@@ -4,8 +4,8 @@
 //!
 //! The flow, end to end:
 //!
-//! 1. Build an `n`-node [`NetRuntime`] on the reactor driver with one
-//!    [`GatewayPipe`] per node.
+//! 1. Build an `n`-node [`NetRuntime`] with one [`GatewayPipe`] per
+//!    node.
 //! 2. Wrap each node's [`OrderProcess`] in a [`GatewayProcess`] so
 //!    client submissions drain into its mempool with per-client
 //!    sequencing.
@@ -19,7 +19,7 @@
 //! and the CI smoke job.
 
 use crate::coin::CommonCoin;
-use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetDriver, NetRuntime, SetupError};
+use crate::net::{GatewayPipe, LoadGenConfig, LoadGenReport, NetRuntime, SetupError};
 use crate::obs::Obs;
 use crate::order::gateway::GatewayProcess;
 use crate::order::{OrderLog, OrderOptions, OrderProcess};
@@ -112,10 +112,8 @@ pub fn run_gateway_load(
     let order = opts.order;
 
     let pipes: Vec<GatewayPipe> = (0..opts.n).map(|_| GatewayPipe::new()).collect();
-    let mut rt: NetRuntime<_, OrderLog> = NetRuntime::new(opts.n)
-        .timeout(opts.timeout)
-        .observer(obs.clone())
-        .driver(NetDriver::Reactor);
+    let mut rt: NetRuntime<_, OrderLog> =
+        NetRuntime::new(opts.n).timeout(opts.timeout).observer(obs.clone());
     for (i, pipe) in pipes.iter().enumerate() {
         rt = rt.gateway(NodeId::new(i), pipe.clone());
     }

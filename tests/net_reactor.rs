@@ -1,14 +1,12 @@
-//! Regression and differential gates for the reactor transport driver
-//! and the client gateway.
+//! Regression and differential gates for the reactor transport and the
+//! client gateway.
 //!
-//! The reactor replaced the thread-per-link transport; the proof that it
-//! preserved the wire semantics is differential: the same seeded
-//! workload under the same chaos schedule must end in byte-identical
-//! delivered logs under [`NetDriver::Threads`] and
-//! [`NetDriver::Reactor`]. Alongside, the three bugfix regressions from
-//! the same change ride here: bind failures surface as typed
-//! [`SetupError`]s instead of panics, shutdown is never stalled by
-//! in-flight chaos/backoff sleeps, and a panicked runtime thread is
+//! The transport's oracle is the deterministic simulator: the same
+//! seeded ordering workload must commit the byte-identical log in the
+//! simulator and over loopback TCP under frame drops and duplication.
+//! Alongside ride three bugfix regressions: bind failures surface as
+//! typed [`SetupError`]s instead of panics, shutdown is never stalled by
+//! in-flight chaos/backoff waits, and a panicked runtime thread is
 //! reported via `RuntimeReport::poisoned` instead of being masked by
 //! poison-riding mutex locks.
 //!
@@ -17,11 +15,11 @@
 
 use async_bft::coin::{CommonCoin, LocalCoin};
 use async_bft::consensus::{BrachaOptions, BrachaProcess, Wire};
-use async_bft::net::{ChaosConfig, NetDriver, NetRuntime, SetupError};
+use async_bft::net::{ChaosConfig, NetRuntime, SetupError};
 use async_bft::obs::{Event, Obs, Sink};
 use async_bft::order::gateway::{GatewayCore, OfferOutcome};
 use async_bft::order::{Backpressure, OrderLog, OrderMessage, OrderOptions, OrderProcess};
-use async_bft::rbc::CodedProcess;
+use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, Effect, NodeId, Process, Value};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -29,84 +27,56 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 // ---------------------------------------------------------------------
-// Differential gates: Threads vs Reactor
+// Differential gate: simulator vs reactor
 // ---------------------------------------------------------------------
 
-/// Runs a seeded n=4 ordering cluster over loopback TCP under `driver`
-/// and returns the unanimous committed log.
-fn ordered_log_under(driver: NetDriver, seed: u64, chaos: ChaosConfig) -> OrderLog {
-    let n = 4;
-    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
+/// The seeded n=4 ordering node `id`: its workload depends only on
+/// (seed, node), never on the substrate's scheduling.
+fn order_node(cfg: Config, id: NodeId, seed: u64) -> OrderProcess<CommonCoin> {
     let opts =
         OrderOptions { batch_max: 2, pipeline_depth: 2, epochs: 3, ..OrderOptions::default() };
     let per_node = opts.epochs as usize * opts.batch_max;
-    let mut rt: NetRuntime<OrderMessage, OrderLog> =
-        NetRuntime::new(n).timeout(TIMEOUT).driver(driver).chaos(chaos);
-    for id in cfg.nodes() {
-        // A deterministic per-node workload: the log contents depend
-        // only on (seed, node), never on the substrate's scheduling.
-        let workload: Vec<Vec<u8>> =
-            (0..per_node).map(|i| format!("tx-{seed}-{}-{i}", id.index()).into_bytes()).collect();
-        rt.add_process(Box::new(OrderProcess::new(cfg, id, opts, workload, move |inst| {
-            CommonCoin::new(seed, inst)
-        })));
-    }
-    let report = rt.run();
-    assert!(!report.timed_out, "{driver:?} ordering run stalled");
-    assert!(report.agreement_holds(), "{driver:?} nodes diverged");
-    assert!(!report.poisoned, "{driver:?} run recorded a thread panic");
-    report.unanimous_output().unwrap_or_else(|| panic!("{driver:?} nodes never agreed on a log"))
+    let workload: Vec<Vec<u8>> =
+        (0..per_node).map(|i| format!("tx-{seed}-{}-{i}", id.index()).into_bytes()).collect();
+    OrderProcess::new(cfg, id, opts, workload, move |inst| CommonCoin::new(seed, inst))
 }
 
-/// The ordering differential at n=4: same seed, same chaos schedule,
-/// byte-identical committed logs under the thread-per-link driver and
-/// the reactor.
+/// The ordering differential at n=4: the same seeded workload commits
+/// the byte-identical log in the deterministic simulator and over
+/// loopback TCP with 5% of frame transmissions dropped and 2.5%
+/// duplicated.
 #[test]
-fn reactor_matches_threads_on_ordered_log_under_chaos() {
+fn sim_and_reactor_commit_identical_ordered_log_under_chaos() {
+    let (n, seed) = (4, 17);
+    let cfg = Config::new(n, 1).expect("4 >= 3f + 1");
+
+    let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 20, seed));
+    for id in cfg.nodes() {
+        world.add_process(Box::new(order_node(cfg, id, seed)));
+    }
+    let sim_report = world.run();
+    assert!(sim_report.all_correct_decided(), "sim ordering run stalled");
+    let sim_log: OrderLog = sim_report.unanimous_output().expect("sim nodes must agree on one log");
+
     let chaos = ChaosConfig {
         seed: 0xD1FF,
         drop_per_mille: 50,
         dup_per_mille: 25,
         ..ChaosConfig::default()
     };
-    let threads = ordered_log_under(NetDriver::Threads, 17, chaos.clone());
-    let reactor = ordered_log_under(NetDriver::Reactor, 17, chaos);
-    assert!(!threads.is_empty(), "committed log must carry the workload");
-    assert_eq!(threads, reactor, "drivers committed different logs from identical inputs");
-}
-
-/// Runs the n=16 coded broadcast under `driver` and returns the
-/// unanimously delivered payload.
-fn coded_log_under(driver: NetDriver, payload: &[u8], chaos: ChaosConfig) -> Vec<u8> {
-    let n = 16;
-    let cfg = Config::max_resilience(n).expect("16 >= 3f + 1");
-    let sender = NodeId::new(0);
-    let mut rt: NetRuntime<_, Vec<u8>> =
-        NetRuntime::new(n).timeout(TIMEOUT).driver(driver).chaos(chaos);
+    let mut rt: NetRuntime<OrderMessage, OrderLog> =
+        NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
     for id in cfg.nodes() {
-        let mine = (id == sender).then(|| payload.to_vec());
-        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+        rt.add_process(Box::new(order_node(cfg, id, seed)));
     }
     let report = rt.run();
-    assert!(!report.timed_out, "{driver:?} coded broadcast stalled at n=16");
-    assert!(!report.poisoned, "{driver:?} run recorded a thread panic");
-    report.unanimous_output().unwrap_or_else(|| panic!("{driver:?} nodes diverged at n=16"))
-}
+    assert!(!report.timed_out, "TCP ordering run stalled");
+    assert!(report.agreement_holds(), "TCP nodes diverged");
+    assert!(!report.poisoned, "TCP run recorded a thread panic");
+    let tcp_log = report.unanimous_output().expect("TCP nodes must agree on one log");
 
-/// The n=16 differential: a 64 KiB erasure-coded broadcast under frame
-/// drops delivers the identical byte string under both drivers — the
-/// reactor at the full f=5 mesh geometry (240 directed links per
-/// driver), not just the n=4 smoke mesh.
-#[test]
-fn reactor_matches_threads_on_coded_rbc_at_n16() {
-    let payload: Vec<u8> =
-        (0..64 * 1024).map(|i| (i as u8).wrapping_mul(97).wrapping_add(13)).collect();
-    let chaos = ChaosConfig { seed: 0xAB16, drop_per_mille: 30, ..ChaosConfig::default() };
-    let threads = coded_log_under(NetDriver::Threads, &payload, chaos.clone());
-    let reactor = coded_log_under(NetDriver::Reactor, &payload, chaos);
-    assert_eq!(threads, payload, "threads driver corrupted the payload");
-    assert_eq!(reactor, payload, "reactor driver corrupted the payload");
-    assert_eq!(threads, reactor);
+    assert!(!sim_log.is_empty(), "committed log must carry the workload");
+    assert_eq!(sim_log, tcp_log, "sim and TCP committed different logs from identical inputs");
 }
 
 // ---------------------------------------------------------------------
@@ -257,29 +227,26 @@ fn claimed_port_is_a_typed_setup_error_not_a_panic() {
     let claimed = std::net::TcpListener::bind("127.0.0.1:0").expect("claim a port");
     let addr = claimed.local_addr().expect("claimed port has an address");
 
-    for driver in [NetDriver::Threads, NetDriver::Reactor] {
-        let mut rt: NetRuntime<Vec<u8>, u64> =
-            NetRuntime::new(2).timeout(TIMEOUT).driver(driver).bind_addr(addr);
-        for i in 0..2 {
-            rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
+    let mut rt: NetRuntime<Vec<u8>, u64> = NetRuntime::new(2).timeout(TIMEOUT).bind_addr(addr);
+    for i in 0..2 {
+        rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
+    }
+    match rt.try_run() {
+        Err(SetupError::Bind { node, source }) => {
+            assert_eq!(node, 0, "the first bind attempt must fail");
+            assert_eq!(source.kind(), std::io::ErrorKind::AddrInUse);
         }
-        match rt.try_run() {
-            Err(SetupError::Bind { node, source }) => {
-                assert_eq!(node, 0, "{driver:?}: the first bind attempt must fail");
-                assert_eq!(source.kind(), std::io::ErrorKind::AddrInUse, "{driver:?}");
-            }
-            Err(other) => panic!("{driver:?}: wrong setup error: {other}"),
-            Ok(_) => panic!("{driver:?}: binding a claimed port succeeded?"),
-        }
+        Err(other) => panic!("wrong setup error: {other}"),
+        Ok(_) => panic!("binding a claimed port succeeded?"),
     }
 }
 
 /// Regression for the uninterruptible-sleep bugfix: with every frame
-/// delayed five seconds by chaos, the transport threads sit parked in
-/// delay waits when the run times out. Shutdown must interrupt those
-/// waits: the whole run — teardown included — finishes in a fraction of
-/// one injected delay, where the old blocking sleeps stalled teardown
-/// for the full five seconds per parked thread.
+/// delayed five seconds by chaos, every link sits in a delay wait when
+/// the run times out. Shutdown must cut those waits short: the whole
+/// run — teardown included — finishes in a fraction of one injected
+/// delay, where blocking sleeps would stall teardown for the full five
+/// seconds.
 #[test]
 fn shutdown_interrupts_chaos_and_backoff_sleeps() {
     let chaos = ChaosConfig {
@@ -288,27 +255,23 @@ fn shutdown_interrupts_chaos_and_backoff_sleeps() {
         max_delay_ms: 5_000,
         ..ChaosConfig::default()
     };
-    for driver in [NetDriver::Threads, NetDriver::Reactor] {
-        let started = Instant::now();
-        let mut rt: NetRuntime<Vec<u8>, u64> = NetRuntime::new(2)
-            .timeout(Duration::from_millis(500))
-            .driver(driver)
-            .chaos(chaos.clone());
-        for i in 0..2 {
-            rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
-        }
-        let report = rt.run();
-        let total = started.elapsed();
-        assert!(report.timed_out, "{driver:?}: a chatter run can only end by timeout");
-        assert!(
-            total < Duration::from_secs(4),
-            "{driver:?}: teardown took {total:?} — shutdown stalled in a chaos/backoff sleep"
-        );
+    let started = Instant::now();
+    let mut rt: NetRuntime<Vec<u8>, u64> =
+        NetRuntime::new(2).timeout(Duration::from_millis(500)).chaos(chaos);
+    for i in 0..2 {
+        rt.add_process(Box::new(Chatter { id: NodeId::new(i) }));
     }
+    let report = rt.run();
+    let total = started.elapsed();
+    assert!(report.timed_out, "a chatter run can only end by timeout");
+    assert!(
+        total < Duration::from_secs(4),
+        "teardown took {total:?} — shutdown stalled in a chaos/backoff wait"
+    );
 }
 
 /// A recording sink that panics on the first `LinkLogPeak` it sees —
-/// i.e. inside a supervised transport thread at teardown, after the
+/// i.e. inside a supervised reactor thread at teardown, after the
 /// cluster has decided.
 struct PanicOnceSink {
     events: Vec<(u64, NodeId, Event)>,

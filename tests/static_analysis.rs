@@ -66,16 +66,14 @@ fn escape_hatches_are_reasoned_and_bounded() {
         );
     }
     // Growth guard: new escape hatches deserve review. Raise this only
-    // with a reason in the PR description. Raised 16 → 24 when bft-net
-    // joined the walked crates: a wall-clock TCP transport legitimately
-    // reads real time and sleeps (all concentrated in its clock module)
-    // and uses `expect` on unrecoverable host-setup failures. Raised
-    // 24 → 26 with the reactor transport: shim-poll's non-Linux
-    // fallback parks with a real sleep (determinism), and the client
-    // gateway's per-client resume windows are a keyed map with no safe
-    // eviction (unbounded-map).
+    // with a reason in the PR description. bft-net's wall-clock TCP
+    // transport legitimately reads real time and sleeps (all
+    // concentrated in its clock module); shim-poll's non-Linux fallback
+    // parks with a real sleep (determinism); the client gateway's
+    // per-client resume windows are a keyed map with no safe eviction
+    // (unbounded-map).
     assert!(
-        report.allowed.len() <= 26,
+        report.allowed.len() <= 23,
         "allowed-site count grew to {}; keep the escape hatch rare",
         report.allowed.len()
     );
