@@ -2,7 +2,8 @@
 //! client gateway.
 //!
 //! The transport's oracle is the deterministic simulator: the same
-//! seeded ordering workload must commit the byte-identical log in the
+//! seeded ordering workload must commit the byte-identical log, and the
+//! same n=16 coded broadcast must deliver the identical payload, in the
 //! simulator and over loopback TCP under frame drops and duplication.
 //! Alongside ride three bugfix regressions: bind failures surface as
 //! typed [`SetupError`]s instead of panics, shutdown is never stalled by
@@ -19,6 +20,7 @@ use async_bft::net::{ChaosConfig, NetRuntime, SetupError};
 use async_bft::obs::{Event, Obs, Sink};
 use async_bft::order::gateway::{GatewayCore, OfferOutcome};
 use async_bft::order::{Backpressure, OrderLog, OrderMessage, OrderOptions, OrderProcess};
+use async_bft::rbc::CodedProcess;
 use async_bft::sim::{UniformDelay, World, WorldConfig};
 use async_bft::types::{Config, Effect, NodeId, Process, Value};
 use proptest::prelude::*;
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 const TIMEOUT: Duration = Duration::from_secs(60);
 
 // ---------------------------------------------------------------------
-// Differential gate: simulator vs reactor
+// Differential gates: simulator vs reactor
 // ---------------------------------------------------------------------
 
 /// The seeded n=4 ordering node `id`: its workload depends only on
@@ -77,6 +79,46 @@ fn sim_and_reactor_commit_identical_ordered_log_under_chaos() {
 
     assert!(!sim_log.is_empty(), "committed log must carry the workload");
     assert_eq!(sim_log, tcp_log, "sim and TCP committed different logs from identical inputs");
+}
+
+/// The n=16 differential: a 64 KiB erasure-coded broadcast delivers the
+/// identical byte string in the deterministic simulator and over the
+/// reactor with 3% of frame transmissions dropped — the full f=5 mesh
+/// geometry (240 directed links retransmitting), not just the n=4 smoke
+/// mesh. The simulator is the oracle now that the reactor is the only
+/// TCP driver.
+#[test]
+fn reactor_matches_threads_on_coded_rbc_at_n16() {
+    let n = 16;
+    let cfg = Config::max_resilience(n).expect("16 >= 3f + 1");
+    let sender = NodeId::new(0);
+    let payload: Vec<u8> =
+        (0..64 * 1024).map(|i| (i as u8).wrapping_mul(97).wrapping_add(13)).collect();
+
+    let mut world = World::new(WorldConfig::new(n), UniformDelay::new(1, 20, 0xAB16));
+    for id in cfg.nodes() {
+        let mine = (id == sender).then(|| payload.clone());
+        world.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+    }
+    let sim_report = world.run();
+    assert!(sim_report.all_correct_decided(), "sim coded broadcast stalled at n=16");
+    let sim_log: Vec<u8> =
+        sim_report.unanimous_output().expect("sim nodes must agree on one payload");
+
+    let chaos = ChaosConfig { seed: 0xAB16, drop_per_mille: 30, ..ChaosConfig::default() };
+    let mut rt: NetRuntime<_, Vec<u8>> = NetRuntime::new(n).timeout(TIMEOUT).chaos(chaos);
+    for id in cfg.nodes() {
+        let mine = (id == sender).then(|| payload.clone());
+        rt.add_process(Box::new(CodedProcess::new(cfg, id, sender, mine)));
+    }
+    let report = rt.run();
+    assert!(!report.timed_out, "reactor coded broadcast stalled at n=16");
+    assert!(!report.poisoned, "reactor run recorded a thread panic");
+    let tcp_log = report.unanimous_output().expect("reactor nodes diverged at n=16");
+
+    assert_eq!(sim_log, payload, "simulator corrupted the payload");
+    assert_eq!(tcp_log, payload, "reactor corrupted the payload");
+    assert_eq!(sim_log, tcp_log);
 }
 
 // ---------------------------------------------------------------------
